@@ -354,11 +354,11 @@ fn run_mux_mode(
             std::process::exit(1);
         });
     println!(
-        "server: commits={} aborts={} shed_total={} conns_open={} reactor_wakeups={} accept_errs={}",
+        "server: commits={} aborts={} shed_total={} open_conns={} reactor_wakeups={} accept_errs={}",
         metrics.counter("txn.commits"),
         metrics.counter("txn.aborts"),
         metrics.counter("server.shed_total"),
-        metrics.counter("server.conns_open"),
+        metrics.counter("server.open_conns"),
         metrics.counter("server.reactor_wakeups"),
         metrics.counter("server.accept_err_total"),
     );

@@ -111,9 +111,6 @@ pub struct EngineConfig {
     /// records stripe by txn id, epoch-ordered commit acks). The
     /// Postgres analogue is [`WalWriterConfig::sets`].
     pub log_writers: usize,
-    /// Let committers park and share another committer's fsync
-    /// (lockfree path only).
-    pub wal_group_commit: bool,
     /// Postgres WAL configuration (sets, block size).
     pub wal: WalWriterConfig,
     /// Whether the WAL lives on simulated devices or real segment files.
@@ -208,7 +205,6 @@ impl Default for EngineConfig {
             flush_interval: Duration::from_millis(10),
             wal_append: AppendMode::Lockfree,
             log_writers: 1,
-            wal_group_commit: true,
             wal: WalWriterConfig::default(),
             disk_backend: DiskBackend::Sim,
             data_dir: None,

@@ -231,7 +231,6 @@ impl Engine {
                         manual_flush: config.wal_manual_flush,
                         append: config.wal_append,
                         writers,
-                        group_commit: config.wal_group_commit,
                         sink: file_wal.clone(),
                     },
                     disks,
@@ -267,7 +266,6 @@ impl Engine {
                 let mut wal_config = config.wal.clone();
                 wal_config.faults = config.wal_faults.clone();
                 wal_config.append = config.wal_append;
-                wal_config.group_commit = config.wal_group_commit;
                 WalBackend::Pg(Box::new(WalWriter::new(
                     wal_config,
                     disks,

@@ -156,9 +156,7 @@ impl Shared {
     /// `server.shed_total` / `server.open_conns` out of the METRICS reply.
     pub(crate) fn snapshot(&self) -> MetricsSnapshot {
         let mut m = self.engine.metrics_snapshot();
-        let open = self.open_conns.load(Ordering::Relaxed);
-        m.set_counter("server.open_conns", open);
-        m.set_counter("server.conns_open", open);
+        m.set_counter("server.open_conns", self.open_conns.load(Ordering::Relaxed));
         m.set_counter(
             "server.conns_opened",
             self.conns_opened.load(Ordering::Relaxed),

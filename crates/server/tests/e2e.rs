@@ -825,7 +825,7 @@ fn reactor_instruments_are_exposed() {
 
     let m = conn.metrics().expect("metrics");
     assert!(m.counter("server.reactor_wakeups") >= 1, "reactor woke up");
-    assert!(m.counter("server.conns_open") >= 1, "this conn is open");
+    assert!(m.counter("server.open_conns") >= 1, "this conn is open");
     assert!(
         m.histograms.contains_key("server.write_stall_ns"),
         "write-stall histogram registered"

@@ -412,14 +412,19 @@ impl BufferPool {
                 .add_event(p.page_io, io_start, now_nanos() - io_start);
         }
 
-        // Publish: LRU insert then page-hash insert.
+        // Publish: LRU insert and page-hash insert under one `lru` hold
+        // (lock order lru -> page_table, as in eviction). Released between
+        // the two, an eviction could take the now non-busy frame while
+        // `pid` is still unmapped, leaving `pid` mapped to another page.
         {
             let mut state = self.lru.lock();
             state.frames[frame].io_busy = false;
             state.frames[frame].dirty = write;
             state.lru.insert_old_head(frame);
+            self.page_table.write().insert(pid, frame);
         }
-        self.page_table.write().insert(pid, frame);
+        #[cfg(test)]
+        tests::publish_pause(self.id);
         {
             let mut inflight = self.in_flight.lock();
             inflight.remove(&pid);
@@ -571,6 +576,17 @@ mod tests {
     use super::*;
     use tpd_common::dist::ServiceTime;
     use tpd_common::DiskConfig;
+
+    /// The pool whose publishes pause (`u64::MAX`: none).
+    static PAUSED_POOL: AtomicU64 = AtomicU64::new(u64::MAX);
+
+    /// Called right after a miss publishes its page: widens the window a
+    /// racing eviction would need if publishing were not atomic.
+    pub(super) fn publish_pause(pool: u64) {
+        if PAUSED_POOL.load(Ordering::Relaxed) == pool {
+            std::thread::sleep(Duration::from_micros(200));
+        }
+    }
 
     fn fast_disk() -> Arc<SimDisk> {
         Arc::new(SimDisk::new(DiskConfig {
@@ -753,5 +769,47 @@ mod tests {
         let misses = kinds.iter().filter(|k| **k == AccessKind::Miss).count();
         assert_eq!(misses, 1, "kinds: {kinds:?}");
         assert_eq!(p.stats().misses, 1);
+    }
+
+    #[test]
+    fn publish_is_atomic_with_concurrent_evictions() {
+        // Three frames, eight pages, four writers: nearly every access is
+        // a miss that evicts, and each publish is followed by a pause.
+        // Publishing in two steps leaves some page mapped to a frame that
+        // holds another page, and write hits on it retry forever.
+        let p = Arc::new(pool(3));
+        PAUSED_POOL.store(p.id, Ordering::Relaxed);
+        // Unscoped threads, so a stuck writer fails the deadline below
+        // instead of hanging the test in a join.
+        let writers: Vec<_> = (0..4u64)
+            .map(|t| {
+                let p = p.clone();
+                std::thread::spawn(move || {
+                    for i in 0..150 {
+                        p.access(PageId((t * 3 + i) % 8), true);
+                    }
+                })
+            })
+            .collect();
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while !writers.iter().all(|w| w.is_finished()) {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "writers stuck: a page is mapped to a frame holding another page"
+            );
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        for w in writers {
+            w.join().expect("writer");
+        }
+        let table = p.page_table.read();
+        let state = p.lru.lock();
+        for (pid, &f) in table.iter() {
+            assert_eq!(
+                state.frames[f].page,
+                Some(*pid),
+                "page table agrees with frames"
+            );
+        }
     }
 }

@@ -14,6 +14,15 @@
 //!   flush costs and the paper's **parallel logging** fix (two log sets on
 //!   two devices; a transaction only waits when both are busy, and then on
 //!   the one with fewer waiters).
+//!
+//! Both run on one log core, [`lockfree`]: it owns the append path (the
+//! paper's mutex baseline and the reserve-then-copy ring, see
+//! [`AppendMode`]), the only durability wait and the only flush round,
+//! with the accounting they share. Each personality hands the core a flush
+//! model — how a write and an fsync reach its device — and keeps only what
+//! differs: mysql its flush policies, striping, epoch-ordered acks and
+//! crash snapshot; pg its padded block writes and set choice rule.
+//! [`segment`] is the real on-disk format behind `disk_backend = file`.
 
 pub mod fault;
 pub mod lockfree;

@@ -17,19 +17,18 @@
 //! Both lazy modes risk losing the last interval's commits on a crash, as
 //! the paper notes.
 //!
-//! Two append paths coexist (see [`AppendMode`]):
-//!
-//! * **Mutex** — every append serializes through `Mutex<BufferState>`,
-//!   faithful to the contention pathology the paper measured (Table 1).
-//! * **Lockfree** — reserve-then-copy (see [`crate::lockfree`]): appends
-//!   claim LSN ranges with one `fetch_add` and publish through a
-//!   sequence-word ring; committers share fsyncs via a flush baton and a
-//!   parked waiter list. [`RedoLogConfig::writers`] > 1 stripes records
-//!   across K parallel logs by transaction id, with **epoch-ordered
-//!   commit acks**: each fsync closes a global epoch, and a commit is
-//!   acknowledged only once every stripe's flush epoch has caught up with
-//!   the epoch observed at its own flush — so an ack implies every
-//!   earlier-epoch commit on every log is durable.
+//! Append, the durability wait and the flush round live in the log core
+//! ([`crate::lockfree`]), for both [`AppendMode`]s. This personality's
+//! flush model supplies the device write (a byte count, or CRC frames
+//! through the [`crate::FileWal`] sink) and the fsync (through the sink's
+//! crash gate in file mode), and the core charges each fsync to the
+//! `fil_flush` probe. What stays here: the three flush policies and the
+//! background flusher, the crash snapshot, and parallel logs —
+//! [`RedoLogConfig::writers`] > 1 stripes records across K logs by
+//! transaction id, with **epoch-ordered commit acks**: each fsync closes a
+//! global epoch, and a commit is acknowledged only once every log's flush
+//! epoch has caught up with the epoch observed at its own flush — so an
+//! ack implies every earlier-epoch commit on every log is durable.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -39,10 +38,10 @@ use parking_lot::{Condvar, Mutex};
 
 use tpd_common::clock::now_nanos;
 use tpd_common::disk::DiskDevice;
-use tpd_metrics::{Histogram, HistogramSnapshot};
+use tpd_metrics::HistogramSnapshot;
 use tpd_profiler::{FuncId, Profiler};
 
-use crate::lockfree::{make_lsn, offset_of, stripe_of, AppendMode, Reservation, Stripe};
+use crate::lockfree::{make_lsn, offset_of, stripe_of, AppendMode, FlushModel, LogCore, LogUnit};
 use crate::record::{LogRecord, StampedRecord};
 use crate::Lsn;
 
@@ -78,10 +77,6 @@ pub struct RedoLogConfig {
     /// id, one flush baton each). Ignored by the mutex path, which always
     /// runs a single log.
     pub writers: usize,
-    /// Allow committers to park and share another committer's fsync. When
-    /// false, a committer that loses the baton race spins for the baton
-    /// and flushes itself (still correct, no batching).
-    pub group_commit: bool,
     /// File-backed log sink (`disk_backend = file`). When set, the write
     /// path persists typed records as CRC-framed segments through the
     /// [`crate::FileWal`] instead of byte-count device writes, and the
@@ -100,7 +95,6 @@ impl Default for RedoLogConfig {
             manual_flush: false,
             append: AppendMode::Lockfree,
             writers: 1,
-            group_commit: true,
             sink: None,
         }
     }
@@ -132,85 +126,49 @@ pub struct RedoStats {
     pub commit_wait_ns: u64,
 }
 
-#[derive(Debug, Default)]
-struct BufferState {
-    next_lsn: u64,
-    /// Bytes appended but not yet written to the device.
-    unwritten: u64,
-    written_lsn: u64,
-    flushed_lsn: u64,
-    /// Typed records retained for crash/recovery simulation (all appended
-    /// records; durability is judged against `flushed_lsn` at crash time).
-    records: Vec<StampedRecord>,
-    /// How many of `records` the file sink has framed out (file backend
-    /// only; the record's index doubles as its global seq here, since the
-    /// mutex path serializes every append).
-    persisted: usize,
+/// The redo flush model: byte-count device writes, or CRC frames through
+/// the file sink (zero fill would corrupt the frame stream).
+#[derive(Debug)]
+struct RedoFlush {
+    sink: Option<Arc<crate::FileWal>>,
 }
 
-/// One parallel log: its device plus the lock-free stripe state.
-#[derive(Debug)]
-struct StripeLog {
-    disk: Arc<dyn DiskDevice>,
-    stripe: Stripe,
-    /// This log's stripe index (the file sink's chain id).
-    idx: usize,
-    /// Retained records already framed out to the file sink. Only read or
-    /// written under the stripe's flush baton.
-    persisted: AtomicU64,
-}
+impl FlushModel for RedoFlush {
+    fn write(&self, log: &LogUnit, from: u64, to: u64) {
+        match &self.sink {
+            // Frames land on this log's own FileDisk, so byte accounting
+            // stays on one surface.
+            Some(sink) => log.frame_new(|seq, r| {
+                sink.append(log.idx, seq, r);
+            }),
+            None => {
+                log.disk.write(to - from);
+            }
+        }
+    }
 
-/// The append-path implementation behind a [`RedoLog`].
-#[derive(Debug)]
-enum Backend {
-    /// Mutex-serialized buffer (paper-faithful pathology).
-    Mutex {
-        disk: Arc<dyn DiskDevice>,
-        state: Mutex<BufferState>,
-        /// Serializes device write+fsync so committers group-commit
-        /// behind the current flusher.
-        flush_lock: Mutex<()>,
-    },
-    /// Reserve-then-copy stripes (see [`crate::lockfree`]).
-    Lockfree { stripes: Vec<StripeLog> },
+    fn sync(&self, log: &LogUnit) {
+        // The paper's `fil_flush`; the file sink's barrier is the same
+        // device flush, but gated so an injected crash drops it.
+        match &self.sink {
+            Some(sink) => sink.sync(log.idx),
+            None => log.disk.flush(0),
+        };
+    }
 }
 
 /// The redo log. See module docs.
 #[derive(Debug)]
 pub struct RedoLog {
     config: RedoLogConfig,
-    backend: Backend,
+    core: LogCore<RedoFlush>,
     shutdown: Arc<AtomicBool>,
     shutdown_cv: Arc<(Mutex<bool>, Condvar)>,
     flusher: Option<std::thread::JoinHandle<()>>,
-    probes: Option<MysqlWalProbes>,
     bytes_appended: AtomicU64,
-    commits: AtomicU64,
-    flushes: AtomicU64,
-    group_commits: AtomicU64,
-    bytes_written: AtomicU64,
     commit_wait_ns: AtomicU64,
-    /// Eager committers waiting on durability (mutex backend; the
-    /// lockfree backend tracks this per stripe). Swapped to zero at each
-    /// fsync to size the group-commit batch.
-    acks_pending: AtomicU64,
-    /// Global append sequence, stamped on every typed record so crash
-    /// snapshots merge stripes in true append order.
-    global_seq: AtomicU64,
-    /// Global flush epoch: bumped once per fsync (any stripe). Drives the
-    /// K-way epoch-ordered commit-ack rule.
-    epoch: AtomicU64,
     /// Round-robin cursor for striping record-less appends.
     append_rr: AtomicU64,
-    /// Fsync latency per flush (ns).
-    fsync_hist: Histogram,
-    /// Bytes made durable per flush batch.
-    batch_hist: Histogram,
-    /// Append-path reservation latency (ns) — the cost of claiming and
-    /// publishing log space, in either append mode.
-    reserve_hist: Histogram,
-    /// Commits acknowledged per fsync (group-commit batch size).
-    group_batch_hist: Histogram,
 }
 
 impl RedoLog {
@@ -224,66 +182,31 @@ impl RedoLog {
         Self::with_disks(config, vec![disk], probes)
     }
 
-    /// Create a redo log over one device per parallel log writer. The
-    /// mutex append path always runs a single log (extra devices are
-    /// rejected); the lockfree path requires `disks.len() == writers`.
+    /// Create a redo log over one device per parallel log writer
+    /// (`disks.len() == writers`; the mutex append path runs one log).
     pub fn with_disks(
         config: RedoLogConfig,
         disks: Vec<Arc<dyn DiskDevice>>,
         probes: Option<MysqlWalProbes>,
     ) -> Arc<Self> {
-        let writers = config.writers.max(1);
-        let backend = match config.append {
-            AppendMode::Mutex => {
-                assert_eq!(
-                    disks.len(),
-                    1,
-                    "the mutex append path runs a single log (one device)"
-                );
-                Backend::Mutex {
-                    disk: disks.into_iter().next().expect("one device"),
-                    state: Mutex::new(BufferState::default()),
-                    flush_lock: Mutex::new(()),
-                }
-            }
-            AppendMode::Lockfree => {
-                assert!(writers <= 256, "stripe index must fit the LSN top byte");
-                assert_eq!(disks.len(), writers, "one device per log writer required");
-                Backend::Lockfree {
-                    stripes: disks
-                        .into_iter()
-                        .enumerate()
-                        .map(|(idx, disk)| StripeLog {
-                            disk,
-                            stripe: Stripe::new(),
-                            idx,
-                            persisted: AtomicU64::new(0),
-                        })
-                        .collect(),
-                }
-            }
+        let writers = match config.append {
+            AppendMode::Mutex => 1,
+            AppendMode::Lockfree => config.writers.max(1),
         };
+        assert_eq!(disks.len(), writers, "one device per log writer required");
+        let model = RedoFlush {
+            sink: config.sink.clone(),
+        };
+        let probe = probes.map(|p| (p.profiler, p.fil_flush));
         let mut log = RedoLog {
             config: config.clone(),
-            backend,
+            core: LogCore::new(config.append, disks, model, probe),
             shutdown: Arc::new(AtomicBool::new(false)),
             shutdown_cv: Arc::new((Mutex::new(false), Condvar::new())),
             flusher: None,
-            probes,
             bytes_appended: AtomicU64::new(0),
-            commits: AtomicU64::new(0),
-            flushes: AtomicU64::new(0),
-            group_commits: AtomicU64::new(0),
-            bytes_written: AtomicU64::new(0),
             commit_wait_ns: AtomicU64::new(0),
-            acks_pending: AtomicU64::new(0),
-            global_seq: AtomicU64::new(0),
-            epoch: AtomicU64::new(0),
             append_rr: AtomicU64::new(0),
-            fsync_hist: Histogram::new(),
-            batch_hist: Histogram::new(),
-            reserve_hist: Histogram::new(),
-            group_batch_hist: Histogram::new(),
         };
         if matches!(config.policy, FlushPolicy::Eager) || config.manual_flush {
             return Arc::new(log);
@@ -302,16 +225,13 @@ impl RedoLog {
                         cvar.wait_for(&mut stop, interval);
                     }
                 }
-                if shutdown.load(Ordering::Acquire) {
-                    // One final flush so shutdown is durable.
-                    if let Some(log) = weak.upgrade() {
-                        log.write_and_flush_pending();
-                    }
-                    return;
+                // On shutdown, one final flush so shutdown is durable.
+                let stop = shutdown.load(Ordering::Acquire);
+                match weak.upgrade() {
+                    Some(log) => log.core.flush_all(),
+                    None => return,
                 }
-                if let Some(log) = weak.upgrade() {
-                    log.write_and_flush_pending();
-                } else {
+                if stop {
                     return;
                 }
             }));
@@ -331,35 +251,18 @@ impl RedoLog {
 
     /// Number of parallel logs (1 for the mutex path).
     pub fn writers(&self) -> usize {
-        match &self.backend {
-            Backend::Mutex { .. } => 1,
-            Backend::Lockfree { stripes } => stripes.len(),
-        }
+        self.core.units.len()
+    }
+
+    /// Round-robin log choice for appends with no transaction id.
+    fn next_rr(&self) -> usize {
+        self.append_rr.fetch_add(1, Ordering::Relaxed) as usize % self.writers()
     }
 
     /// Append `bytes` of redo for a transaction; returns the end LSN that
     /// commit must make durable (eager) or acknowledge (lazy).
     pub fn append(&self, bytes: u64) -> Lsn {
-        let t0 = now_nanos();
-        let lsn = match &self.backend {
-            Backend::Mutex { state, .. } => {
-                let mut st = state.lock();
-                st.next_lsn += bytes;
-                st.unwritten += bytes;
-                Lsn(st.next_lsn)
-            }
-            Backend::Lockfree { stripes } => {
-                let idx = if stripes.len() == 1 {
-                    0
-                } else {
-                    self.append_rr.fetch_add(1, Ordering::Relaxed) as usize % stripes.len()
-                };
-                self.append_to_stripe(stripes, idx, Vec::new(), bytes)
-            }
-        };
-        self.bytes_appended.fetch_add(bytes, Ordering::Relaxed);
-        self.reserve_hist.record(now_nanos() - t0);
-        lsn
+        self.append_to(self.next_rr(), Vec::new(), bytes)
     }
 
     /// Append typed records (retained for recovery) plus `extra_bytes` of
@@ -368,79 +271,18 @@ impl RedoLog {
     /// batch lands on one stripe chosen by the records' transaction id,
     /// so a transaction's redo (and its commit marker) share a log.
     pub fn append_records(&self, records: Vec<LogRecord>, extra_bytes: u64) -> Lsn {
-        let t0 = now_nanos();
-        let mut total = extra_bytes;
-        for r in &records {
-            total += r.encoded_len();
-        }
-        let lsn = match &self.backend {
-            Backend::Mutex { state, .. } => {
-                let mut st = state.lock();
-                for r in records {
-                    st.next_lsn += r.encoded_len();
-                    let end = Lsn(st.next_lsn);
-                    st.records.push(StampedRecord { end, record: r });
-                }
-                st.next_lsn += extra_bytes;
-                st.unwritten += total;
-                Lsn(st.next_lsn)
-            }
-            Backend::Lockfree { stripes } => {
-                let idx = if stripes.len() == 1 {
-                    0
-                } else {
-                    match records.iter().find_map(|r| r.txn()) {
-                        Some(txn) => txn as usize % stripes.len(),
-                        None => {
-                            self.append_rr.fetch_add(1, Ordering::Relaxed) as usize % stripes.len()
-                        }
-                    }
-                };
-                self.append_to_stripe(stripes, idx, records, extra_bytes)
-            }
+        let idx = match records.iter().find_map(|r| r.txn()) {
+            Some(txn) => txn as usize % self.writers(),
+            None => self.next_rr(),
         };
-        self.bytes_appended.fetch_add(total, Ordering::Relaxed);
-        self.reserve_hist.record(now_nanos() - t0);
-        lsn
+        self.append_to(idx, records, extra_bytes)
     }
 
-    /// Lockfree append: reserve the range with one `fetch_add`, stamp the
-    /// records against it outside any lock, publish through the ring.
-    fn append_to_stripe(
-        &self,
-        stripes: &[StripeLog],
-        idx: usize,
-        records: Vec<LogRecord>,
-        extra_bytes: u64,
-    ) -> Lsn {
-        let s = &stripes[idx];
-        let typed: u64 = records.iter().map(|r| r.encoded_len()).sum();
-        let bytes = typed + extra_bytes;
-        let start = s.stripe.reserve(bytes);
-        // Copy phase: no lock held. Stamp each record with its end offset
-        // inside the claimed range and a global sequence number (crash
-        // snapshots merge stripes by it).
-        let mut off = start;
-        let stamped: Vec<(u64, StampedRecord)> = records
-            .into_iter()
-            .map(|record| {
-                off += record.encoded_len();
-                let seq = self.global_seq.fetch_add(1, Ordering::SeqCst);
-                (
-                    seq,
-                    StampedRecord {
-                        end: make_lsn(idx, off),
-                        record,
-                    },
-                )
-            })
-            .collect();
-        s.stripe.publish(Reservation {
-            start,
-            end: start + bytes,
-            records: stamped,
-        });
-        make_lsn(idx, start + bytes)
+    fn append_to(&self, idx: usize, records: Vec<LogRecord>, extra_bytes: u64) -> Lsn {
+        let range = self.core.append(idx, records, extra_bytes);
+        self.bytes_appended
+            .fetch_add(range.end - range.start, Ordering::Relaxed);
+        make_lsn(idx, range.end)
     }
 
     /// Simulate a crash: return exactly the records that were durable
@@ -456,59 +298,32 @@ impl RedoLog {
     /// garbage where their checksums should be.
     pub fn simulate_crash(&self) -> Vec<StampedRecord> {
         let torn = self.config.faults.as_ref().is_some_and(|f| f.torn_tail);
-        match &self.backend {
-            Backend::Mutex { state, .. } => {
-                let st = state.lock();
-                let mut durable: Vec<StampedRecord> = st
-                    .records
-                    .iter()
-                    .filter(|r| r.end.0 <= st.flushed_lsn)
-                    .cloned()
-                    .collect();
-                if torn {
-                    if let Some(first_lost) = st.records.iter().find(|r| r.end.0 > st.flushed_lsn) {
-                        // Half the record (header included) made it out.
-                        let bytes = (first_lost.record.encoded_len() / 2).max(1);
-                        durable.push(StampedRecord {
-                            end: Lsn(st.flushed_lsn + bytes),
-                            record: LogRecord::Torn { bytes },
-                        });
+        let mut durable: Vec<(u64, StampedRecord)> = Vec::new();
+        let mut tears: Vec<(u64, StampedRecord)> = Vec::new();
+        for log in &self.core.units {
+            let flushed = log.flushed();
+            log.with_records(|records| {
+                for (seq, r) in records {
+                    if offset_of(r.end) <= flushed {
+                        durable.push((*seq, r.clone()));
+                        continue;
                     }
+                    if torn {
+                        // Half the record (header included) made it out.
+                        let bytes = (r.record.encoded_len() / 2).max(1);
+                        let end = make_lsn(log.idx, flushed + bytes);
+                        let record = LogRecord::Torn { bytes };
+                        tears.push((*seq, StampedRecord { end, record }));
+                    }
+                    break;
                 }
-                durable
-            }
-            Backend::Lockfree { stripes } => {
-                let mut durable: Vec<(u64, StampedRecord)> = Vec::new();
-                let mut tears: Vec<(u64, StampedRecord)> = Vec::new();
-                for (idx, s) in stripes.iter().enumerate() {
-                    let flushed = s.stripe.flushed();
-                    s.stripe.with_records(|records| {
-                        for (seq, r) in records {
-                            if offset_of(r.end) <= flushed {
-                                durable.push((*seq, r.clone()));
-                            } else {
-                                if torn {
-                                    let bytes = (r.record.encoded_len() / 2).max(1);
-                                    tears.push((
-                                        *seq,
-                                        StampedRecord {
-                                            end: make_lsn(idx, flushed + bytes),
-                                            record: LogRecord::Torn { bytes },
-                                        },
-                                    ));
-                                }
-                                break;
-                            }
-                        }
-                    });
-                }
-                // Durable records in append order; tears last so readers
-                // stop at the first unreadable record.
-                durable.sort_by_key(|(seq, _)| *seq);
-                tears.sort_by_key(|(seq, _)| *seq);
-                durable.into_iter().chain(tears).map(|(_, r)| r).collect()
-            }
+            });
         }
+        // Durable records in append order; tears last so readers stop at
+        // the first unreadable record.
+        durable.sort_by_key(|(seq, _)| *seq);
+        tears.sort_by_key(|(seq, _)| *seq);
+        durable.into_iter().chain(tears).map(|(_, r)| r).collect()
     }
 
     /// Whether an armed [`crate::WalFaultPlan::crash_at_lsn`] point has
@@ -524,186 +339,36 @@ impl RedoLog {
     /// Write + fsync everything pending. The manual-flush analogue of one
     /// background-flusher tick, called by the harness at seeded points.
     pub fn flush_now(&self) {
-        self.write_and_flush_pending();
+        self.core.flush_all();
     }
 
     /// Commit: make `lsn` durable according to the policy. Returns the time
     /// spent waiting on durability (0 for the lazy policies' fast paths).
     pub fn commit(&self, lsn: Lsn) -> u64 {
-        self.commits.fetch_add(1, Ordering::Relaxed);
+        self.core.commits.fetch_add(1, Ordering::Relaxed);
         let start = now_nanos();
+        let (idx, off) = (stripe_of(lsn), offset_of(lsn));
+        let ack_before_flush = self
+            .config
+            .faults
+            .as_ref()
+            .is_some_and(|f| f.ack_before_flush);
         match self.config.policy {
+            // Seeded bug: write, skip the fsync, acknowledge. The torture
+            // checker must flag the resulting losses.
+            FlushPolicy::Eager if ack_before_flush => self.core.wait_written(idx, off),
             FlushPolicy::Eager => {
-                if self
-                    .config
-                    .faults
-                    .as_ref()
-                    .is_some_and(|f| f.ack_before_flush)
-                {
-                    // Seeded bug: write, skip the fsync, acknowledge. The
-                    // torture checker must flag the resulting losses.
-                    self.ensure_written(lsn);
-                } else {
-                    self.ensure_flushed(lsn);
-                    self.epoch_ordered_ack(lsn);
-                }
+                self.core.wait_flushed(idx, off);
+                self.epoch_ordered_ack(idx);
             }
-            FlushPolicy::LazyFlush => {
-                // Write into the OS cache on the commit path; no fsync.
-                self.ensure_written(lsn);
-            }
-            FlushPolicy::LazyWrite => {
-                // Nothing: the flusher does both.
-            }
+            // Write into the OS cache on the commit path; no fsync.
+            FlushPolicy::LazyFlush => self.core.wait_written(idx, off),
+            // Nothing: the flusher does both.
+            FlushPolicy::LazyWrite => {}
         }
         let waited = now_nanos() - start;
         self.commit_wait_ns.fetch_add(waited, Ordering::Relaxed);
         waited
-    }
-
-    /// Under the state lock: take the records the file sink has not framed
-    /// out yet, paired with their index — the mutex path serializes every
-    /// append, so a record's position is its global seq. Empty in sim mode.
-    fn take_unpersisted(&self, st: &mut BufferState) -> Vec<(u64, StampedRecord)> {
-        if self.config.sink.is_none() {
-            return Vec::new();
-        }
-        let from = st.persisted;
-        st.persisted = st.records.len();
-        st.records[from..]
-            .iter()
-            .enumerate()
-            .map(|(i, r)| ((from + i) as u64, r.clone()))
-            .collect()
-    }
-
-    /// Device write for the mutex path: byte-count in sim mode, CRC frames
-    /// through the sink in file mode (zero fill would corrupt the stream).
-    fn write_mutex_bytes(
-        &self,
-        disk: &Arc<dyn DiskDevice>,
-        to_write: u64,
-        frames: &[(u64, StampedRecord)],
-    ) {
-        match &self.config.sink {
-            Some(sink) => {
-                for (seq, r) in frames {
-                    sink.append(0, *seq, r);
-                }
-            }
-            None => {
-                if to_write > 0 {
-                    disk.write(to_write);
-                }
-            }
-        }
-        self.bytes_written.fetch_add(to_write, Ordering::Relaxed);
-    }
-
-    /// Write buffered bytes up to at least `lsn` into the device cache.
-    fn ensure_written(&self, lsn: Lsn) {
-        match &self.backend {
-            Backend::Mutex { state, disk, .. } => loop {
-                let (to_write, frames) = {
-                    let mut st = state.lock();
-                    if st.written_lsn >= lsn.0 {
-                        return;
-                    }
-                    let n = st.unwritten;
-                    st.written_lsn = st.next_lsn;
-                    st.unwritten = 0;
-                    (n, self.take_unpersisted(&mut st))
-                };
-                if to_write > 0 || !frames.is_empty() {
-                    self.write_mutex_bytes(disk, to_write, &frames);
-                }
-                // Loop re-checks in case new bytes raced in below our lsn —
-                // cannot happen since lsn was assigned before, but stay safe.
-                let st = state.lock();
-                if st.written_lsn >= lsn.0 {
-                    return;
-                }
-            },
-            Backend::Lockfree { stripes } => {
-                let s = &stripes[stripe_of(lsn)];
-                let off = offset_of(lsn);
-                loop {
-                    if s.stripe.written() >= off {
-                        return;
-                    }
-                    if let Some(_baton) = s.stripe.try_baton() {
-                        // May fall short if an unpublished lower
-                        // reservation blocks the watermark; loop.
-                        self.write_stripe_pending(s);
-                    } else {
-                        // The baton holder may have drained before our
-                        // publish; retry after it releases.
-                        std::thread::yield_now();
-                    }
-                }
-            }
-        }
-    }
-
-    /// Write + fsync everything up to at least `lsn` (group commit).
-    fn ensure_flushed(&self, lsn: Lsn) {
-        match &self.backend {
-            Backend::Mutex {
-                state, flush_lock, ..
-            } => {
-                {
-                    let st = state.lock();
-                    if st.flushed_lsn >= lsn.0 {
-                        self.group_commits.fetch_add(1, Ordering::Relaxed);
-                        return;
-                    }
-                }
-                self.acks_pending.fetch_add(1, Ordering::SeqCst);
-                let _g = flush_lock.lock();
-                // Re-check: the previous holder may have flushed us.
-                {
-                    let st = state.lock();
-                    if st.flushed_lsn >= lsn.0 {
-                        self.group_commits.fetch_add(1, Ordering::Relaxed);
-                        return;
-                    }
-                }
-                self.flush_mutex_locked();
-            }
-            Backend::Lockfree { stripes } => {
-                let s = &stripes[stripe_of(lsn)];
-                let off = offset_of(lsn);
-                if s.stripe.flushed() >= off {
-                    self.group_commits.fetch_add(1, Ordering::Relaxed);
-                    return;
-                }
-                s.stripe.acks_pending.fetch_add(1, Ordering::SeqCst);
-                // A flush round (even our own) may not cover our bytes: a
-                // concurrent appender holding a lower reservation that has
-                // not yet published blocks the watermark below us. Loop
-                // until some round lands past our offset.
-                let mut flushed_self = false;
-                loop {
-                    if s.stripe.flushed() >= off {
-                        if !flushed_self {
-                            self.group_commits.fetch_add(1, Ordering::Relaxed);
-                        }
-                        return;
-                    }
-                    if let Some(_baton) = s.stripe.try_baton() {
-                        self.flush_stripe_round(s);
-                        flushed_self = true;
-                    } else if self.config.group_commit {
-                        // Lose the baton race → park; the holder wakes us
-                        // when its round completes. Re-check and retry: the
-                        // round only covers publishes it drained.
-                        s.stripe.park_round(|| s.stripe.flushed() >= off);
-                    } else {
-                        std::thread::yield_now();
-                    }
-                }
-            }
-        }
     }
 
     /// K-way epoch rule: a commit is acknowledged only when every other
@@ -712,219 +377,56 @@ impl RedoLog {
     /// in an earlier epoch, on any log, is durable. Single-threaded
     /// callers flush lagging stripes themselves (the baton is free);
     /// concurrent callers usually just observe other committers' rounds.
-    fn epoch_ordered_ack(&self, lsn: Lsn) {
-        let Backend::Lockfree { stripes } = &self.backend else {
-            return;
-        };
-        if stripes.len() == 1 {
-            return;
+    fn epoch_ordered_ack(&self, mine: usize) {
+        let e0 = self.core.epoch();
+        for idx in (0..self.writers()).filter(|&i| i != mine) {
+            self.core.wait_epoch(idx, e0);
         }
-        let my = stripe_of(lsn);
-        let e0 = self.epoch.load(Ordering::SeqCst);
-        for (i, s) in stripes.iter().enumerate() {
-            if i == my {
-                continue;
-            }
-            loop {
-                if s.stripe.flushed_epoch() >= e0 {
-                    break;
-                }
-                if let Some(_baton) = s.stripe.try_baton() {
-                    self.flush_stripe_round(s);
-                } else {
-                    std::thread::yield_now();
-                }
-            }
-        }
-    }
-
-    /// Background entry point: flush all pending bytes on every log.
-    fn write_and_flush_pending(&self) {
-        match &self.backend {
-            Backend::Mutex { flush_lock, .. } => {
-                let _g = flush_lock.lock();
-                self.flush_mutex_locked();
-            }
-            Backend::Lockfree { stripes } => {
-                for s in stripes {
-                    let _baton = s.stripe.baton();
-                    self.flush_stripe_round(s);
-                }
-            }
-        }
-    }
-
-    /// Requires the flush lock. Writes all unwritten bytes, then fsyncs.
-    fn flush_mutex_locked(&self) {
-        let Backend::Mutex { disk, state, .. } = &self.backend else {
-            unreachable!("mutex flush on lockfree backend");
-        };
-        let (to_write, target_lsn, frames) = {
-            let mut st = state.lock();
-            let n = st.unwritten;
-            st.written_lsn = st.next_lsn;
-            st.unwritten = 0;
-            let frames = self.take_unpersisted(&mut st);
-            (n, st.next_lsn, frames)
-        };
-        if to_write > 0 || !frames.is_empty() {
-            self.write_mutex_bytes(disk, to_write, &frames);
-        }
-        {
-            let st = state.lock();
-            if st.flushed_lsn >= target_lsn {
-                return;
-            }
-        }
-        self.batch_hist.record(to_write);
-        // The fsync: the paper's `fil_flush` (crash-gated in file mode).
-        let t0 = now_nanos();
-        match &self.config.sink {
-            Some(sink) => {
-                sink.sync(0);
-            }
-            None => {
-                disk.flush(0);
-            }
-        }
-        let dur = now_nanos() - t0;
-        if let Some(p) = &self.probes {
-            p.profiler.add_event(p.fil_flush, t0, dur);
-        }
-        self.fsync_hist.record(dur);
-        self.flushes.fetch_add(1, Ordering::Relaxed);
-        {
-            let mut st = state.lock();
-            st.flushed_lsn = st.flushed_lsn.max(target_lsn);
-        }
-        let acked = self.acks_pending.swap(0, Ordering::SeqCst);
-        if acked > 0 {
-            self.group_batch_hist.record(acked);
-        }
-    }
-
-    /// Requires the stripe's baton: write `published − written`, fsync if
-    /// anything new, account the group-commit batch, close an epoch, and
-    /// wake parked committers.
-    fn write_stripe_pending(&self, s: &StripeLog) {
-        s.stripe.drain();
-        let target = s.stripe.published();
-        let written = s.stripe.written();
-        if target > written {
-            if let Some(sink) = &self.config.sink {
-                // File backend: frame the newly-drained records out as
-                // CRC-framed segments (they land on this stripe's own
-                // FileDisk, so byte accounting stays on one surface). The
-                // byte-count write below would interleave zero fill with
-                // the frame stream, so it is skipped.
-                let from = s.persisted.load(Ordering::Relaxed) as usize;
-                let upto = s.stripe.with_records(|records| {
-                    for (seq, r) in &records[from..] {
-                        sink.append(s.idx, *seq, r);
-                    }
-                    records.len()
-                });
-                s.persisted.store(upto as u64, Ordering::Relaxed);
-            } else {
-                s.disk.write(target - written);
-            }
-            self.bytes_written
-                .fetch_add(target - written, Ordering::Relaxed);
-            s.stripe.set_written(target);
-        }
-    }
-
-    /// Requires the stripe's baton. One full flush round.
-    fn flush_stripe_round(&self, s: &StripeLog) {
-        self.write_stripe_pending(s);
-        let target = s.stripe.written();
-        if s.stripe.flushed() >= target {
-            // Clean round: nothing new to fsync, but the stripe is now
-            // provably caught up with every epoch closed before this
-            // point — no fsync needed to advance its epoch.
-            s.stripe
-                .raise_flushed_epoch(self.epoch.load(Ordering::SeqCst));
-            s.stripe.wake_all();
-            return;
-        }
-        self.batch_hist.record(target - s.stripe.flushed());
-        // The fsync: the paper's `fil_flush`. The file sink's barrier is
-        // the same device flush, but gated so an injected crash drops it.
-        let t0 = now_nanos();
-        match &self.config.sink {
-            Some(sink) => {
-                sink.sync(s.idx);
-            }
-            None => {
-                s.disk.flush(0);
-            }
-        }
-        let dur = now_nanos() - t0;
-        if let Some(p) = &self.probes {
-            p.profiler.add_event(p.fil_flush, t0, dur);
-        }
-        self.fsync_hist.record(dur);
-        self.flushes.fetch_add(1, Ordering::Relaxed);
-        s.stripe.set_flushed(target);
-        let acked = s.stripe.acks_pending.swap(0, Ordering::SeqCst);
-        if acked > 0 {
-            self.group_batch_hist.record(acked);
-        }
-        // Every fsync closes a global epoch; this stripe is caught up to
-        // the epoch it just closed.
-        let e = self.epoch.fetch_add(1, Ordering::SeqCst) + 1;
-        s.stripe.raise_flushed_epoch(e);
-        s.stripe.wake_all();
     }
 
     /// Durable LSN (for tests and recovery assertions). With parallel
     /// logs this reports stripe 0's durable offset; per-stripe cursors
     /// are available via [`RedoLog::stripe_cursors`].
     pub fn flushed_lsn(&self) -> Lsn {
-        match &self.backend {
-            Backend::Mutex { state, .. } => Lsn(state.lock().flushed_lsn),
-            Backend::Lockfree { stripes } => make_lsn(0, stripes[0].stripe.flushed()),
-        }
+        make_lsn(0, self.core.units[0].flushed())
     }
 
     /// Per-stripe `(reserved, published, written, flushed)` cursors for
-    /// invariant checks (empty for the mutex backend).
+    /// invariant checks.
     pub fn stripe_cursors(&self) -> Vec<(u64, u64, u64, u64)> {
-        match &self.backend {
-            Backend::Mutex { .. } => Vec::new(),
-            Backend::Lockfree { stripes } => stripes.iter().map(|s| s.stripe.cursors()).collect(),
-        }
+        self.core.units.iter().map(LogUnit::cursors).collect()
     }
 
     /// Snapshot of the fsync-latency histogram (ns per flush).
     pub fn fsync_histogram(&self) -> HistogramSnapshot {
-        self.fsync_hist.snapshot()
+        self.core.fsync_hist.snapshot()
     }
 
     /// Snapshot of the flush batch-size histogram (bytes per flush).
     pub fn batch_histogram(&self) -> HistogramSnapshot {
-        self.batch_hist.snapshot()
+        self.core.batch_hist.snapshot()
     }
 
     /// Snapshot of the append-path reservation latency histogram (ns).
     pub fn reserve_histogram(&self) -> HistogramSnapshot {
-        self.reserve_hist.snapshot()
+        self.core.reserve_hist.snapshot()
     }
 
     /// Snapshot of the commits-acked-per-fsync histogram.
     pub fn group_commit_batch_histogram(&self) -> HistogramSnapshot {
-        self.group_batch_hist.snapshot()
+        self.core.group_batch_hist.snapshot()
     }
 
     /// Statistics snapshot.
     pub fn stats(&self) -> RedoStats {
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
         RedoStats {
-            bytes_appended: self.bytes_appended.load(Ordering::Relaxed),
-            commits: self.commits.load(Ordering::Relaxed),
-            flushes: self.flushes.load(Ordering::Relaxed),
-            group_commits: self.group_commits.load(Ordering::Relaxed),
-            bytes_written: self.bytes_written.load(Ordering::Relaxed),
-            commit_wait_ns: self.commit_wait_ns.load(Ordering::Relaxed),
+            bytes_appended: load(&self.bytes_appended),
+            commits: load(&self.core.commits),
+            flushes: load(&self.core.flushes),
+            group_commits: load(&self.core.group_commits),
+            bytes_written: load(&self.core.written),
+            commit_wait_ns: load(&self.commit_wait_ns),
         }
     }
 
@@ -1326,22 +828,6 @@ mod tests {
             committed.contains(&2),
             "epoch rule: stripe 0 must be flushed before txn 1's ack"
         );
-    }
-
-    #[test]
-    fn group_commit_disabled_still_durable() {
-        let log = RedoLog::new(
-            RedoLogConfig {
-                policy: FlushPolicy::Eager,
-                group_commit: false,
-                ..Default::default()
-            },
-            fast_disk(),
-            None,
-        );
-        let lsn = log.append(64);
-        log.commit(lsn);
-        assert!(log.flushed_lsn() >= lsn);
     }
 
     #[test]

@@ -7,39 +7,31 @@
 //! flushes everything buffered, so blocked backends frequently find their
 //! records already durable when the lock releases — group commit.
 //!
-//! Flush cost is block-quantized: a flush of `b` bytes writes
-//! `ceil(b / block_size)` whole blocks. Larger blocks mean fewer device
-//! operations but more padding — the trade-off swept in Figure 4 (right).
+//! Append, the durability wait and the flush round live in the log core
+//! ([`crate::lockfree`]), for both [`AppendMode`]s; the mutex mode's
+//! blocking flush lock is the `WALWriteLock`. This personality's flush
+//! model supplies the block-quantized write: a flush of `b` bytes writes
+//! `ceil(b / block_size)` whole blocks plus a fixed per-block overhead,
+//! then fsyncs. Larger blocks mean fewer device operations but more
+//! padding — the trade-off swept in Figure 4 (right). The wait, less any
+//! flush round the backend ran itself, is charged to the
+//! `LWLockAcquireOrWait` probe.
 //!
 //! [`WalWriterConfig::sets`] > 1 enables the paper's parallel logging
 //! (Section 6.2): multiple independent log sets, each with its own device
 //! and lock. A committer takes any free set; when all are busy it waits on
 //! the set with the fewest waiters.
-//!
-//! Two append paths coexist (see [`AppendMode`]):
-//!
-//! * **Mutex** — backends serialize ticket issue on the set's state mutex
-//!   and flushing on the `WALWriteLock`, faithful to the measured
-//!   pathology.
-//! * **Lockfree** — reserve-then-copy (see [`crate::lockfree`]): a
-//!   backend claims its WAL bytes with one `fetch_add` on the set's
-//!   reserved cursor, publishes through the sequence-word ring, and
-//!   either grabs the set's flush baton or parks until a flush round
-//!   covers its bytes. The durability wait is still charged to the
-//!   `LWLockAcquireOrWait` probe — it is the same wait, minus the
-//!   append-side serialization.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::time::Duration;
 
 use tpd_common::clock::now_nanos;
 use tpd_common::disk::DiskDevice;
 use tpd_metrics::{Histogram, HistogramSnapshot};
 use tpd_profiler::{FuncId, Profiler};
 
-use crate::lockfree::{AppendMode, Reservation, Stripe};
+use crate::lockfree::{AppendMode, FlushModel, LogCore, LogUnit};
 
 /// Configuration for the WAL writer.
 #[derive(Debug, Clone)]
@@ -52,18 +44,13 @@ pub struct WalWriterConfig {
     /// Fixed cost per block written (write(2) syscall + device command
     /// overhead), spent on the flush critical path. This is what larger
     /// blocks amortize in the Fig. 4 sweep.
-    pub per_block_overhead: std::time::Duration,
+    pub per_block_overhead: Duration,
     /// Injected WAL faults. Only `ack_before_flush` applies to this
-    /// personality: commit takes its ticket and returns without flushing,
-    /// so acked bytes sit in the pending batch until someone else's
-    /// commit flushes them.
+    /// personality: commit appends and returns without flushing, so
+    /// acked bytes stay pending until someone else's commit flushes them.
     pub faults: Option<crate::WalFaultPlan>,
     /// Append path: mutex-serialized (paper-faithful) or reserve-then-copy.
     pub append: AppendMode,
-    /// Allow committers to park and share another backend's fsync
-    /// (lockfree path only; the mutex path always groups behind the
-    /// WALWriteLock).
-    pub group_commit: bool,
 }
 
 impl Default for WalWriterConfig {
@@ -71,10 +58,9 @@ impl Default for WalWriterConfig {
         WalWriterConfig {
             sets: 1,
             block_size: 8 * 1024,
-            per_block_overhead: std::time::Duration::from_micros(150),
+            per_block_overhead: Duration::from_micros(150),
             faults: None,
             append: AppendMode::Lockfree,
-            group_commit: true,
         }
     }
 }
@@ -105,48 +91,43 @@ pub struct WalWriterStats {
     pub lock_wait_ns: u64,
 }
 
-#[derive(Debug, Default)]
-struct SetState {
-    /// Ticket counter: each commit takes a ticket before flushing.
-    next_ticket: u64,
-    /// Highest ticket whose bytes are durable.
-    flushed_ticket: u64,
-    /// Bytes pending (appended by ticket holders, not yet flushed).
-    pending_bytes: u64,
+/// The block-quantized flush model.
+#[derive(Debug)]
+struct BlockFlush {
+    block_size: u64,
+    per_block_overhead: Duration,
 }
 
-#[derive(Debug)]
-struct LogSet {
-    disk: Arc<dyn DiskDevice>,
-    /// The WALWriteLock for this set (mutex append path).
-    write_lock: Mutex<()>,
-    state: Mutex<SetState>,
-    waiters: AtomicUsize,
-    /// Lock-free reservation state (lockfree append path; the typed
-    /// record machinery is unused here — pg commits are byte-counted).
-    stripe: Stripe,
+impl FlushModel for BlockFlush {
+    fn units(&self, bytes: u64) -> u64 {
+        bytes.div_ceil(self.block_size)
+    }
+
+    fn write(&self, log: &LogUnit, from: u64, to: u64) {
+        // One sequential device write of the padded batch, then the
+        // per-block syscall/command overhead: a real sleep normally, a
+        // logical-clock bump under the harness's virtual clock.
+        let blocks = self.units(to - from);
+        log.disk.write(blocks * self.block_size);
+        let cost = self.per_block_overhead * blocks as u32;
+        tpd_common::clock::advance(cost.as_nanos() as u64);
+    }
+
+    fn sync(&self, log: &LogUnit) {
+        log.disk.flush(0);
+    }
 }
 
 /// The WAL writer. See module docs.
 #[derive(Debug)]
 pub struct WalWriter {
-    sets: Vec<LogSet>,
+    core: LogCore<BlockFlush>,
     config: WalWriterConfig,
     probes: Option<PgWalProbes>,
-    commits: AtomicU64,
-    flushes: AtomicU64,
-    group_commits: AtomicU64,
-    blocks_written: AtomicU64,
     bytes_requested: AtomicU64,
     lock_wait_ns: AtomicU64,
     /// WALWriteLock wait per commit (ns).
     lock_wait_hist: Histogram,
-    /// Blocks written per flush batch (including padding).
-    batch_hist: Histogram,
-    /// Append-path reservation latency (ns).
-    reserve_hist: Histogram,
-    /// Commits acknowledged per fsync (group-commit batch size).
-    group_batch_hist: Histogram,
 }
 
 impl WalWriter {
@@ -159,138 +140,28 @@ impl WalWriter {
         assert!(config.sets >= 1, "need at least one log set");
         assert_eq!(disks.len(), config.sets, "one device per log set required");
         assert!(config.block_size > 0);
+        let model = BlockFlush {
+            block_size: config.block_size,
+            per_block_overhead: config.per_block_overhead,
+        };
         WalWriter {
-            sets: disks
-                .into_iter()
-                .map(|disk| LogSet {
-                    disk,
-                    write_lock: Mutex::new(()),
-                    state: Mutex::new(SetState::default()),
-                    waiters: AtomicUsize::new(0),
-                    stripe: Stripe::new(),
-                })
-                .collect(),
+            core: LogCore::new(config.append, disks, model, None),
             config,
             probes,
-            commits: AtomicU64::new(0),
-            flushes: AtomicU64::new(0),
-            group_commits: AtomicU64::new(0),
-            blocks_written: AtomicU64::new(0),
             bytes_requested: AtomicU64::new(0),
             lock_wait_ns: AtomicU64::new(0),
             lock_wait_hist: Histogram::new(),
-            batch_hist: Histogram::new(),
-            reserve_hist: Histogram::new(),
-            group_batch_hist: Histogram::new(),
         }
     }
 
     /// Commit `bytes` of WAL durably. Returns ns spent on the commit path.
     pub fn commit(&self, bytes: u64) -> u64 {
-        self.commits.fetch_add(1, Ordering::Relaxed);
+        let start = now_nanos();
+        self.core.commits.fetch_add(1, Ordering::Relaxed);
         self.bytes_requested.fetch_add(bytes, Ordering::Relaxed);
-        match self.config.append {
-            AppendMode::Mutex => self.commit_mutex(bytes),
-            AppendMode::Lockfree => self.commit_lockfree(bytes),
-        }
-    }
-
-    /// Paper-faithful commit path: ticket under the state mutex, flush
-    /// under the WALWriteLock.
-    fn commit_mutex(&self, bytes: u64) -> u64 {
-        let start = now_nanos();
-
-        let set_idx = self.choose_set();
-        let set = &self.sets[set_idx];
-
-        // Take a ticket: our bytes are now part of the set's pending batch.
-        let my_ticket = {
-            let mut st = set.state.lock();
-            st.next_ticket += 1;
-            st.pending_bytes += bytes;
-            st.next_ticket
-        };
-
-        if self
-            .config
-            .faults
-            .as_ref()
-            .is_some_and(|f| f.ack_before_flush)
-        {
-            // Seeded bug: acknowledge with the bytes still pending.
-            let _ = my_ticket;
-            return now_nanos() - start;
-        }
-
-        // LWLockAcquireOrWait: either we acquire and flush, or we wait and
-        // discover the holder flushed us.
-        let lock_start = now_nanos();
-        set.waiters.fetch_add(1, Ordering::Relaxed);
-        let guard = set.write_lock.lock();
-        set.waiters.fetch_sub(1, Ordering::Relaxed);
-        let lock_wait = now_nanos() - lock_start;
-        self.lock_wait_ns.fetch_add(lock_wait, Ordering::Relaxed);
-        self.lock_wait_hist.record(lock_wait);
-        if let Some(p) = &self.probes {
-            p.profiler
-                .add_event(p.lwlock_acquire, lock_start, lock_wait);
-        }
-
-        // Group commit: flushed while we waited?
-        let (to_flush, flush_upto) = {
-            let mut st = set.state.lock();
-            if st.flushed_ticket >= my_ticket {
-                self.group_commits.fetch_add(1, Ordering::Relaxed);
-                drop(st);
-                drop(guard);
-                return now_nanos() - start;
-            }
-            let b = st.pending_bytes;
-            st.pending_bytes = 0;
-            (b, st.next_ticket)
-        };
-
-        // Flush block-quantized bytes: one sequential device write of the
-        // padded batch, a per-block syscall/command overhead, then fsync.
-        let blocks = to_flush.div_ceil(self.config.block_size).max(1);
-        set.disk.write(blocks * self.config.block_size);
-        if !self.config.per_block_overhead.is_zero() {
-            // Modeled time: real sleep normally, logical-clock bump under
-            // the harness's virtual clock.
-            let cost = self.config.per_block_overhead * blocks as u32;
-            tpd_common::clock::advance(cost.as_nanos() as u64);
-        }
-        set.disk.flush(0);
-        self.flushes.fetch_add(1, Ordering::Relaxed);
-        self.blocks_written.fetch_add(blocks, Ordering::Relaxed);
-        self.batch_hist.record(blocks);
-        {
-            let mut st = set.state.lock();
-            st.flushed_ticket = st.flushed_ticket.max(flush_upto);
-        }
-        drop(guard);
-        now_nanos() - start
-    }
-
-    /// Reserve-then-copy commit path: claim bytes with one `fetch_add`,
-    /// publish, then either flush (baton) or park until flushed.
-    fn commit_lockfree(&self, bytes: u64) -> u64 {
-        let start = now_nanos();
-
-        let set_idx = self.choose_set_lockfree();
-        let set = &self.sets[set_idx];
-
+        let set = self.choose_set();
         // Even a "zero-byte" commit carries a commit record on the wire.
-        let bytes = bytes.max(1);
-        let res_start = set.stripe.reserve(bytes);
-        let end = res_start + bytes;
-        set.stripe.publish(Reservation {
-            start: res_start,
-            end,
-            records: Vec::new(),
-        });
-        self.reserve_hist.record(now_nanos() - start);
-
+        let end = self.core.append(set, Vec::new(), bytes.max(1)).end;
         if self
             .config
             .faults
@@ -300,37 +171,11 @@ impl WalWriter {
             // Seeded bug: acknowledge with the bytes still pending.
             return now_nanos() - start;
         }
-
-        // The durability wait — the same wait LWLockAcquireOrWait charged,
-        // minus the append-side serialization.
+        // LWLockAcquireOrWait: wait until a flush covers our bytes, or
+        // take the lock and flush them ourselves (not charged as a wait).
         let wait_start = now_nanos();
-        if set.stripe.flushed() >= end {
-            self.group_commits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            set.stripe.acks_pending.fetch_add(1, Ordering::SeqCst);
-            // A flush round (even our own) may not cover our bytes: a
-            // concurrent backend holding a lower reservation that has not
-            // yet published blocks the watermark below us. Loop until
-            // some round lands past our bytes.
-            let mut flushed_self = false;
-            loop {
-                if set.stripe.flushed() >= end {
-                    if !flushed_self {
-                        self.group_commits.fetch_add(1, Ordering::Relaxed);
-                    }
-                    break;
-                }
-                if let Some(_baton) = set.stripe.try_baton() {
-                    self.flush_set_round(set);
-                    flushed_self = true;
-                } else if self.config.group_commit {
-                    set.stripe.park_round(|| set.stripe.flushed() >= end);
-                } else {
-                    std::thread::yield_now();
-                }
-            }
-        }
-        let lock_wait = now_nanos() - wait_start;
+        let own_flush = self.core.wait_flushed(set, end);
+        let lock_wait = now_nanos() - wait_start - own_flush;
         self.lock_wait_ns.fetch_add(lock_wait, Ordering::Relaxed);
         self.lock_wait_hist.record(lock_wait);
         if let Some(p) = &self.probes {
@@ -340,78 +185,21 @@ impl WalWriter {
         now_nanos() - start
     }
 
-    /// Requires the set's baton: drain, write the padded block batch for
-    /// `published − flushed`, fsync, account the batch, wake waiters.
-    fn flush_set_round(&self, set: &LogSet) {
-        set.stripe.drain();
-        let target = set.stripe.published();
-        let flushed = set.stripe.flushed();
-        if target <= flushed {
-            set.stripe.wake_all();
-            return;
-        }
-        let blocks = (target - flushed).div_ceil(self.config.block_size).max(1);
-        set.disk.write(blocks * self.config.block_size);
-        if !self.config.per_block_overhead.is_zero() {
-            let cost = self.config.per_block_overhead * blocks as u32;
-            tpd_common::clock::advance(cost.as_nanos() as u64);
-        }
-        set.disk.flush(0);
-        self.flushes.fetch_add(1, Ordering::Relaxed);
-        self.blocks_written.fetch_add(blocks, Ordering::Relaxed);
-        self.batch_hist.record(blocks);
-        set.stripe.set_written(target);
-        set.stripe.set_flushed(target);
-        let acked = set.stripe.acks_pending.swap(0, Ordering::SeqCst);
-        if acked > 0 {
-            self.group_batch_hist.record(acked);
-        }
-        set.stripe.wake_all();
-    }
-
-    /// Pick a log set: any immediately free one, else the one with the
-    /// fewest waiters (the paper's rule).
+    /// Pick a log set: any free one, else the one with the fewest
+    /// waiters (the paper's rule).
     fn choose_set(&self) -> usize {
-        if self.sets.len() == 1 {
-            return 0;
+        let sets = &self.core.units;
+        match sets.iter().position(LogUnit::baton_free) {
+            Some(free) => free,
+            None => (0..sets.len())
+                .min_by_key(|&i| sets[i].waiters())
+                .expect("a set"),
         }
-        for (i, set) in self.sets.iter().enumerate() {
-            if let Some(g) = set.write_lock.try_lock() {
-                drop(g); // probing only; the real acquisition happens later
-                return i;
-            }
-        }
-        self.sets
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, s)| s.waiters.load(Ordering::Relaxed))
-            .map(|(i, _)| i)
-            .expect("at least one set")
-    }
-
-    /// Lockfree analogue of [`WalWriter::choose_set`]: a set whose flush
-    /// baton is free, else the one with the fewest parked committers.
-    fn choose_set_lockfree(&self) -> usize {
-        if self.sets.len() == 1 {
-            return 0;
-        }
-        for (i, set) in self.sets.iter().enumerate() {
-            if let Some(g) = set.stripe.try_baton() {
-                drop(g); // probing only
-                return i;
-            }
-        }
-        self.sets
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, s)| s.stripe.acks_pending.load(Ordering::Relaxed))
-            .map(|(i, _)| i)
-            .expect("at least one set")
     }
 
     /// Number of configured log sets.
     pub fn set_count(&self) -> usize {
-        self.sets.len()
+        self.core.units.len()
     }
 
     /// The active append mode.
@@ -421,13 +209,14 @@ impl WalWriter {
 
     /// Statistics snapshot.
     pub fn stats(&self) -> WalWriterStats {
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
         WalWriterStats {
-            commits: self.commits.load(Ordering::Relaxed),
-            flushes: self.flushes.load(Ordering::Relaxed),
-            group_commits: self.group_commits.load(Ordering::Relaxed),
-            blocks_written: self.blocks_written.load(Ordering::Relaxed),
-            bytes_requested: self.bytes_requested.load(Ordering::Relaxed),
-            lock_wait_ns: self.lock_wait_ns.load(Ordering::Relaxed),
+            commits: load(&self.core.commits),
+            flushes: load(&self.core.flushes),
+            group_commits: load(&self.core.group_commits),
+            blocks_written: load(&self.core.written),
+            bytes_requested: load(&self.bytes_requested),
+            lock_wait_ns: load(&self.lock_wait_ns),
         }
     }
 
@@ -438,17 +227,17 @@ impl WalWriter {
 
     /// Snapshot of the flush batch-size histogram (blocks per flush).
     pub fn batch_histogram(&self) -> HistogramSnapshot {
-        self.batch_hist.snapshot()
+        self.core.batch_hist.snapshot()
     }
 
     /// Snapshot of the append-path reservation latency histogram (ns).
     pub fn reserve_histogram(&self) -> HistogramSnapshot {
-        self.reserve_hist.snapshot()
+        self.core.reserve_hist.snapshot()
     }
 
     /// Snapshot of the commits-acked-per-fsync histogram.
     pub fn group_commit_batch_histogram(&self) -> HistogramSnapshot {
-        self.group_batch_hist.snapshot()
+        self.core.group_batch_hist.snapshot()
     }
 }
 
@@ -590,7 +379,6 @@ mod tests {
                         ..Default::default()
                     }),
                     append,
-                    ..Default::default()
                 },
                 vec![fast_disk(1)],
                 None,

@@ -5,7 +5,8 @@
 //! the crash-recovered state must be byte-identical to the mutex path's.
 //! With K parallel logs the LSN spaces differ by construction, so there
 //! the *recovered database state* (committed set + replayed rows) must
-//! match the single-log run.
+//! match the single-log run. The Postgres writer's two paths must agree
+//! on every count and flush batch.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -15,9 +16,10 @@ use proptest::prelude::*;
 
 use tpd_common::dist::ServiceTime;
 use tpd_common::{DiskConfig, DiskDevice, SimDisk};
+use tpd_metrics::HistogramSnapshot;
 use tpd_wal::{
     committed_txns, durable_prefix, AppendMode, FlushPolicy, LogRecord, RedoLog, RedoLogConfig,
-    RedoStats, StampedRecord, WalFaultPlan,
+    RedoStats, StampedRecord, WalFaultPlan, WalWriter, WalWriterConfig, WalWriterStats,
 };
 
 fn disk(seed: u64) -> Arc<dyn DiskDevice> {
@@ -126,8 +128,80 @@ fn replay(snapshot: &[StampedRecord]) -> HashMap<u64, Vec<i64>> {
     state
 }
 
+/// Postgres WAL block size for the pg schedules: small, so commit sizes
+/// in `0..=3 * PG_BLOCK` cross block boundaries.
+const PG_BLOCK: u64 = 512;
+
+/// Raw pg schedule: `(size, zero)` per commit; `zero` forces a 0-byte
+/// commit.
+fn pg_schedule(
+) -> proptest::collection::VecStrategy<(std::ops::RangeInclusive<u64>, proptest::Any<bool>)> {
+    proptest::collection::vec((0..=3 * PG_BLOCK, any::<bool>()), 1..24)
+}
+
+/// What the pg writer reports after a schedule: its stats (wait time
+/// zeroed: it is wall-clock), then the flush-batch, group-commit-batch
+/// and reserve histograms.
+type PgRun = (
+    WalWriterStats,
+    HistogramSnapshot,
+    HistogramSnapshot,
+    HistogramSnapshot,
+);
+
+/// Commit `sizes` one after another on a fresh pg writer.
+fn run_pg(append: AppendMode, sets: usize, ack_before_flush: bool, sizes: &[u64]) -> PgRun {
+    let w = WalWriter::new(
+        WalWriterConfig {
+            sets,
+            block_size: PG_BLOCK,
+            per_block_overhead: std::time::Duration::ZERO,
+            faults: Some(WalFaultPlan {
+                ack_before_flush,
+                ..Default::default()
+            }),
+            append,
+        },
+        (0..sets).map(|i| disk(200 + i as u64)).collect(),
+        None,
+    );
+    for &bytes in sizes {
+        w.commit(bytes);
+    }
+    let stats = WalWriterStats {
+        lock_wait_ns: 0,
+        ..w.stats()
+    };
+    (
+        stats,
+        w.batch_histogram(),
+        w.group_commit_batch_histogram(),
+        w.reserve_histogram(),
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Postgres writer: both append paths flush the same blocks in the
+    /// same batches and count the same commits, group commits and
+    /// appends, across 0-byte commits, block boundaries, one or two log
+    /// sets and the ack-before-flush fault.
+    #[test]
+    fn pg_lockfree_matches_mutex(raw in pg_schedule(), two_sets in any::<bool>(), ack_early in any::<bool>()) {
+        let sizes: Vec<u64> = raw.into_iter().map(|(n, zero)| if zero { 0 } else { n }).collect();
+        let sets = if two_sets { 2 } else { 1 };
+        let (stats_m, batch_m, group_m, reserve_m) = run_pg(AppendMode::Mutex, sets, ack_early, &sizes);
+        let (stats_l, batch_l, group_l, reserve_l) = run_pg(AppendMode::Lockfree, sets, ack_early, &sizes);
+        prop_assert_eq!(stats_m.commits, stats_l.commits);
+        prop_assert_eq!(stats_m.flushes, stats_l.flushes);
+        prop_assert_eq!(stats_m.group_commits, stats_l.group_commits);
+        prop_assert_eq!(stats_m.blocks_written, stats_l.blocks_written);
+        prop_assert_eq!(stats_m.bytes_requested, stats_l.bytes_requested);
+        prop_assert_eq!(batch_m, batch_l, "same blocks per flush");
+        prop_assert_eq!(group_m.count, group_l.count, "same group-commit batches");
+        prop_assert_eq!(reserve_m.count, reserve_l.count, "every append timed");
+    }
 
     /// Single log: the lock-free path must produce a byte-identical crash
     /// snapshot (same records, same stamped LSNs, same torn tail) and the
