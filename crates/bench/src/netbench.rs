@@ -201,9 +201,7 @@ impl NetArgs {
                         .map_err(|e| format!("--policy: {e}"))?
                 }
                 "--admit-defer-hot" => args.admit_defer_hot = true,
-                "--defer-max" => {
-                    args.defer_max = num(&raw("--defer-max")?, "--defer-max")? as u32
-                }
+                "--defer-max" => args.defer_max = num(&raw("--defer-max")?, "--defer-max")? as u32,
                 "--help" | "-h" => return Err(usage.to_string()),
                 other => return Err(format!("unknown flag {other}\n{usage}")),
             }
@@ -549,7 +547,10 @@ mod tests {
         assert!(adm.defer_hot);
         assert_eq!(adm.defer_max, 7);
 
-        assert_eq!(parse(&["--policy", "vats"]).expect("vats").policy, Policy::Vats);
+        assert_eq!(
+            parse(&["--policy", "vats"]).expect("vats").policy,
+            Policy::Vats
+        );
         assert!(parse(&["--policy", "lifo"]).is_err());
     }
 

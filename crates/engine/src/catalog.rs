@@ -343,6 +343,11 @@ impl Catalog {
         self.tables.read()[id.0 as usize].clone()
     }
 
+    /// Get a table handle, or `None` for an id no table has.
+    pub fn get(&self, id: TableId) -> Option<std::sync::Arc<TableInfo>> {
+        self.tables.read().get(id.0 as usize).cloned()
+    }
+
     /// Find a table by name.
     pub fn table_by_name(&self, name: &str) -> Option<std::sync::Arc<TableInfo>> {
         self.tables.read().iter().find(|t| t.name == name).cloned()

@@ -499,7 +499,7 @@ impl Engine {
             // Integer percent so the snapshot stays byte-deterministic.
             m.set_counter(
                 "sched.prediction_hit_rate",
-                if total > 0 { hits * 100 / total } else { 0 },
+                (hits * 100).checked_div(total).unwrap_or(0),
             );
             m.set_counter("sched.conflict_events", p.events());
         }
@@ -857,6 +857,37 @@ impl Txn {
     /// Whether the predictor classified this transaction as hot at BEGIN.
     pub fn predicted_hot(&self) -> bool {
         self.predicted_hot
+    }
+
+    /// Whether [`Txn::read`] of `(table, key)` cannot wait: an mvcc
+    /// snapshot read (no lock), no modelled statement round trip, and
+    /// every index page of the descent plus the data page resident (no
+    /// page I/O). Side-effect free: no LRU move, no hit counted.
+    ///
+    /// Check and read are not atomic. A page evicted between them turns
+    /// the read into an ordinary miss on the caller's thread: the window
+    /// costs latency (one page read), never correctness, since the read
+    /// takes the same buffer-pool path either way.
+    pub fn read_never_waits(&self, table: TableId, key: RowKey) -> bool {
+        let e = &self.engine;
+        if self.snapshot.is_none() || e.config.statement_rtt.is_some() {
+            return false;
+        }
+        let Some(t) = e.catalog.get(table) else {
+            return false;
+        };
+        let fanout = e.config.index_fanout;
+        (1..=t.index_depth(fanout))
+            .all(|level| e.pool.is_resident(t.index_page(key, level, fanout)))
+            && e.pool.is_resident(t.data_page(key))
+    }
+
+    /// Whether [`Txn::commit`] (or [`Txn::abort`]) cannot wait: nothing
+    /// to log and no tentative versions to stamp, so ending the
+    /// transaction only releases what it holds. True for every
+    /// read-only transaction in either concurrency mode.
+    pub fn commit_never_waits(&self) -> bool {
+        self.redo_bytes == 0 && self.writes.is_empty()
     }
 
     fn check_active(&self) -> Result<(), EngineError> {
@@ -1371,6 +1402,7 @@ mod tests {
     use tpd_common::dist::ServiceTime;
     use tpd_common::DiskConfig;
     use tpd_core::Policy;
+    use tpd_storage::{PageId, PoolConfig};
 
     fn fast_config() -> EngineConfig {
         let quick = DiskConfig {
@@ -1644,6 +1676,103 @@ mod tests {
     }
 
     #[test]
+    fn never_waits_predicates_follow_mode_residency_and_writes() {
+        let e = Engine::new(mvcc_config());
+        let t = e.catalog().create_table("t", 16);
+        {
+            let mut setup = e.begin(0);
+            for i in 0..10 {
+                setup.insert(t, vec![i, 0]).expect("insert");
+            }
+            setup.commit().expect("setup");
+        }
+        let mut r = e.begin(0);
+        r.read(t, 3).expect("warm the descent");
+        assert!(r.read_never_waits(t, 3), "resident snapshot read");
+        assert!(!r.read_never_waits(TableId(99), 3), "unknown table");
+        assert!(r.commit_never_waits(), "read-only commit");
+        r.update(t, 3, |row| row[1] = 1).expect("update");
+        assert!(!r.commit_never_waits(), "commit must log and stamp");
+        r.abort();
+
+        let (s2pl, t) = engine_with_table();
+        let mut r = s2pl.begin(0);
+        r.read(t, 3).expect("read");
+        assert!(!r.read_never_waits(t, 3), "s2pl reads take locks");
+        assert!(r.commit_never_waits(), "read-only commit under s2pl");
+        r.update(t, 3, |row| row[1] = 1).expect("update");
+        assert!(!r.commit_never_waits(), "s2pl commit must log");
+        r.commit().expect("commit");
+
+        let rtt = Engine::new(EngineConfig {
+            statement_rtt: Some(ServiceTime::Fixed(1_000)),
+            ..mvcc_config()
+        });
+        let t = rtt.catalog().create_table("t", 16);
+        {
+            let mut setup = rtt.begin(0);
+            setup.insert(t, vec![0]).expect("insert");
+            setup.commit().expect("setup");
+        }
+        let mut r = rtt.begin(0);
+        r.read(t, 0).expect("read");
+        assert!(!r.read_never_waits(t, 0), "statement round trip waits");
+        r.commit().expect("commit");
+    }
+
+    /// The residency check and the read are not atomic: a page evicted in
+    /// between makes the read an ordinary miss. It costs one page read and
+    /// still returns the right row.
+    #[test]
+    fn read_never_waits_then_eviction_costs_one_miss_not_correctness() {
+        let e = Engine::new(EngineConfig {
+            pool: PoolConfig {
+                frames: 8,
+                ..PoolConfig::default()
+            },
+            ..mvcc_config()
+        });
+        let t = e.catalog().create_table("t", 1);
+        {
+            let mut setup = e.begin(0);
+            for i in 0..4 {
+                setup.insert(t, vec![i, 10 * i]).expect("insert");
+            }
+            setup.commit().expect("setup");
+        }
+        let info = e.catalog().table(t);
+        let fanout = e.config().index_fanout;
+        let index: Vec<PageId> = (1..=info.index_depth(fanout))
+            .map(|level| info.index_page(2, level, fanout))
+            .collect();
+        let data = info.data_page(2);
+
+        let mut r = e.begin(0);
+        r.read(t, 2).expect("warm the descent");
+        assert!(r.read_never_waits(t, 2));
+        // Evict the data page only: stream pages through the pool, each
+        // touched twice so it turns young and pushes older pages out,
+        // and touch the index pages after each so they stay young.
+        for filler in 0u64.. {
+            assert!(filler < 1_000, "data page never evicted");
+            if !e.pool().is_resident(data) {
+                break;
+            }
+            for _ in 0..2 {
+                e.pool().access(PageId((1 << 62) + filler), false);
+            }
+            for &page in &index {
+                e.pool().access(page, false);
+            }
+        }
+        assert!(index.iter().all(|&p| e.pool().is_resident(p)));
+        let misses = e.pool().stats().misses;
+        assert_eq!(r.read(t, 2).expect("read"), vec![2, 20]);
+        assert_eq!(e.pool().stats().misses, misses + 1, "one page read in");
+        r.commit().expect("commit");
+    }
+
+    #[test]
     fn mvcc_insert_invisible_until_commit_and_to_older_snapshots() {
         let e = Engine::new(mvcc_config());
         let t = e.catalog().create_table("t", 16);
@@ -1809,8 +1938,15 @@ mod tests {
             }
             setup.commit().expect("setup");
         }
-        let p = e.predictor().expect("predictive policy has a predictor").clone();
-        assert_eq!(e.begin_with_keys(1, &[(t, 3)]).footprint(), 0, "no history yet");
+        let p = e
+            .predictor()
+            .expect("predictive policy has a predictor")
+            .clone();
+        assert_eq!(
+            e.begin_with_keys(1, &[(t, 3)]).footprint(),
+            0,
+            "no history yet"
+        );
         // Teach the predictor that key 3 is hot, straight through its
         // observation API (the engine feeds it the same way from waits).
         for _ in 0..8 {

@@ -49,10 +49,13 @@ impl From<EngineError> for SessionError {
 
 /// A long-lived per-connection handle owning at most one open [`Txn`].
 ///
-/// All statements run on the calling thread (the engine's profiler
-/// attributes spans thread-locally), so a session must stay on one thread
-/// for the lifetime of each transaction — the thread-per-connection
-/// server upholds this by construction.
+/// Each statement runs on the calling thread, and the engine's profiler
+/// attributes spans thread-locally, so a profiled transaction must stay
+/// on one thread from BEGIN to its end. The thread-per-connection server
+/// upholds this by construction. The evented server does not: one
+/// transaction's frames alternate between the reactor (frames that
+/// cannot wait) and pool workers (frames that may), which is why it
+/// refuses an engine whose profiler is collecting.
 #[derive(Debug)]
 pub struct Session {
     engine: Arc<Engine>,
@@ -78,6 +81,20 @@ impl Session {
     /// The open transaction's id, if any.
     pub fn txn_id(&self) -> Option<u64> {
         self.txn.as_ref().map(|t| t.id())
+    }
+
+    /// Whether [`Session::read`] of `(table, key)` cannot wait; see
+    /// [`Txn::read_never_waits`]. False with no open transaction.
+    pub fn read_never_waits(&self, table: TableId, key: RowKey) -> bool {
+        self.txn
+            .as_ref()
+            .is_some_and(|t| t.read_never_waits(table, key))
+    }
+
+    /// Whether [`Session::commit`] or [`Session::abort`] cannot wait; see
+    /// [`Txn::commit_never_waits`]. False with no open transaction.
+    pub fn commit_never_waits(&self) -> bool {
+        self.txn.as_ref().is_some_and(Txn::commit_never_waits)
     }
 
     /// Open a transaction; errors if one is already open.

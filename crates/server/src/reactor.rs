@@ -21,20 +21,25 @@
 //!
 //! The reactor owns every connection's buffers and its [`Session`]
 //! while the connection is at rest. Exactly one operation per
-//! connection is in flight at a time: when an in-transaction frame is
-//! dispatched, the session **and the admission permit move into the
-//! job**, the connection is marked `executing`, and no further frames
-//! are decoded for it until the worker posts `Resume::Done` back
-//! (returning the session, the reply, and the permit — unless the
-//! frame ended the transaction, in which case the worker dropped the
-//! permit and the slot is already free).
+//! connection is in flight at a time: when an in-transaction frame that
+//! may wait is dispatched, the session **and the admission permit move
+//! into the job**, the connection is marked `executing`, and no further
+//! frames are decoded for it until the worker posts `Resume::Done` back
+//! (returning the session, the reply, and the permit — unless the frame
+//! ended the transaction, in which case the worker dropped the permit
+//! and the slot is already free).
 //!
-//! Only frames from permit-holding sessions reach the worker pool —
-//! BEGIN, METRICS, transaction-state errors, and protocol errors are
-//! handled inline on the reactor (none of them can block on engine
-//! locks). With the default pool size of one worker per admission
-//! slot, every admitted transaction can always occupy a worker, so
-//! COMMIT frames cannot starve behind lock waits.
+//! A frame runs inline on the reactor iff the engine says it cannot
+//! wait: BEGIN, METRICS, transaction-state and protocol errors, a
+//! snapshot read whose pages are all resident
+//! ([`Session::read_never_waits`]), and the COMMIT or ABORT of a
+//! transaction with nothing to log ([`Session::commit_never_waits`]).
+//! Every frame that may wait — on a lock, a page read, a WAL flush —
+//! goes to the worker pool. With the default pool size of one worker
+//! per admission slot, every admitted transaction can always occupy a
+//! worker, so COMMIT frames cannot starve behind lock waits. A page
+//! evicted between the residency check and the read costs the reactor
+//! one page read, never a wrong answer.
 //!
 //! Admission from the reactor never blocks: BEGIN uses
 //! [`AdmissionController::try_admit_or_enqueue`] and parks the
@@ -65,7 +70,7 @@ use crate::admission::{AdmitAttempt, Permit};
 use crate::protocol::{ErrorCode, Frame, WireError, MAX_FRAME_LEN};
 use crate::server::{
     accept_with_faults, begin_is_hot, classify_accept_error, execute_txn_frame, metrics_reply,
-    reject_over_limit, session_error_reply, AcceptDisposition, Shared, ACCEPT_BACKOFF,
+    never_waits, reject_over_limit, session_error_reply, AcceptDisposition, Shared, ACCEPT_BACKOFF,
 };
 
 /// Token for the listening socket (`usize::MAX` is the poller's waker).
@@ -207,6 +212,8 @@ pub(crate) struct Reactor {
     /// EMFILE backoff: the listener is deregistered until this instant.
     accept_paused_until: Option<Instant>,
     wakeups: Arc<Counter>,
+    /// Jobs pushed to the worker pool (`server.worker_jobs_total`).
+    worker_jobs: Arc<Counter>,
     write_stall_ns: Arc<Histogram>,
     idle_reaped: Arc<Counter>,
 }
@@ -250,6 +257,7 @@ pub(crate) fn spawn(
     }
     let registry = shared.engine.metrics_registry();
     let wakeups = registry.counter("server.reactor_wakeups");
+    let worker_jobs = registry.counter("server.worker_jobs_total");
     let write_stall_ns = registry.histogram("server.write_stall_ns");
     let idle_reaped = registry.counter("server.idle_reaped_total");
     let ret_waker = waker.clone();
@@ -265,6 +273,7 @@ pub(crate) fn spawn(
         jobs,
         accept_paused_until: None,
         wakeups,
+        worker_jobs,
         write_stall_ns,
         idle_reaped,
     };
@@ -503,9 +512,9 @@ impl Reactor {
                     } else if conn.rbuf.len() < 4 + len {
                         Parsed::Incomplete
                     } else {
-                        let payload: Vec<u8> = conn.rbuf[4..4 + len].to_vec();
+                        let decoded = Frame::decode(&conn.rbuf[4..4 + len]);
                         conn.rbuf.drain(..4 + len);
-                        match Frame::decode(&payload) {
+                        match decoded {
                             Ok(frame) => {
                                 self.shared.frames.fetch_add(1, Ordering::Relaxed);
                                 Parsed::Dispatch(frame)
@@ -593,39 +602,33 @@ impl Reactor {
             | Frame::Insert { .. }
             | Frame::Commit
             | Frame::Abort => {
-                let has_permit = self.conns[idx].as_ref().is_some_and(|c| c.permit.is_some());
-                if has_permit {
-                    // Ship session + permit to the pool; nothing else
-                    // runs on this connection until Resume::Done.
-                    let (gen, session, permit) = {
-                        let conn = self.conns[idx].as_mut().expect("checked above");
-                        conn.executing = true;
-                        (
-                            self.gens[idx],
-                            conn.session.take().expect("idle conn owns session"),
-                            conn.permit.take().expect("checked above"),
-                        )
-                    };
-                    self.jobs.push(Job {
-                        idx,
-                        gen,
-                        frame,
-                        session,
-                        permit,
-                    });
-                } else {
-                    // No open transaction: a pure state error — cannot
-                    // touch engine locks, safe inline on the reactor.
-                    let reply = {
-                        let conn = self.conns[idx].as_mut().expect("checked above");
-                        execute_txn_frame(
-                            conn.session.as_mut().expect("idle conn owns session"),
-                            frame,
-                        )
-                        .0
-                    };
+                let Some(conn) = self.conns[idx].as_mut() else {
+                    return;
+                };
+                let session = conn.session.as_mut().expect("idle conn owns session");
+                // No open transaction (a pure state error) or a frame the
+                // engine proves cannot wait: run it here, on the reactor.
+                if conn.permit.is_none() || never_waits(session, &frame) {
+                    let (reply, ended) = execute_txn_frame(session, frame);
+                    if ended {
+                        conn.permit = None;
+                    }
                     self.queue_reply(idx, reply);
+                    return;
                 }
+                // May wait (lock, page I/O, WAL flush): ship session +
+                // permit to the pool; nothing else runs on this
+                // connection until Resume::Done.
+                conn.executing = true;
+                let job = Job {
+                    idx,
+                    gen: self.gens[idx],
+                    frame,
+                    session: conn.session.take().expect("idle conn owns session"),
+                    permit: conn.permit.take().expect("checked above"),
+                };
+                self.jobs.push(job);
+                self.worker_jobs.inc();
             }
             other => {
                 self.shared.protocol_errors.fetch_add(1, Ordering::Relaxed);

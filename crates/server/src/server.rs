@@ -532,6 +532,18 @@ pub(crate) fn execute_txn_frame(session: &mut Session, frame: Frame) -> (Frame, 
     }
 }
 
+/// Whether the engine proves `frame` cannot wait when run on `session`:
+/// a snapshot read of resident pages, or the end of a transaction that
+/// has nothing to log. Frames that may wait (lock waits, page I/O, WAL
+/// flush) answer false.
+pub(crate) fn never_waits(session: &Session, frame: &Frame) -> bool {
+    match frame {
+        Frame::Read { table, key } => session.read_never_waits(TableId(*table), *key),
+        Frame::Commit | Frame::Abort => session.commit_never_waits(),
+        _ => false,
+    }
+}
+
 /// Render the metrics snapshot as a wire reply.
 pub(crate) fn metrics_reply(snap: MetricsSnapshot) -> Frame {
     let counters = snap.counters.into_iter().collect();

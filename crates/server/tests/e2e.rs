@@ -11,7 +11,7 @@ use rand::SeedableRng;
 
 use tpd_common::dist::ServiceTime;
 use tpd_common::DiskConfig;
-use tpd_engine::{Engine, EngineConfig, Policy, Session, TableId};
+use tpd_engine::{Concurrency, Engine, EngineConfig, Policy, Session, TableId};
 use tpd_server::wire_tatp::{txn_type, SF_PER_SUB};
 use tpd_server::{
     spawn, AdmissionConfig, BeginOutcome, Conn, ErrorCode, Frame, Outcome, ServerConfig,
@@ -19,26 +19,37 @@ use tpd_server::{
 };
 use tpd_workloads::Tatp;
 
-fn quick_engine(seed: u64) -> Arc<Engine> {
+fn quick_config(seed: u64) -> EngineConfig {
     let quick = DiskConfig {
         service: ServiceTime::Fixed(10_000),
         ns_per_byte: 0.0,
         seed,
     };
-    Engine::new(EngineConfig {
+    EngineConfig {
         data_disk: quick.clone(),
         log_disks: vec![quick],
         lock_timeout: Some(Duration::from_secs(5)),
         seed,
         ..EngineConfig::mysql(Policy::Fcfs)
-    })
+    }
+}
+
+fn quick_engine(seed: u64) -> Arc<Engine> {
+    Engine::new(quick_config(seed))
 }
 
 fn start_server_cfg(
     subscribers: u64,
     config: ServerConfig,
 ) -> (Arc<Engine>, Tatp, ServerHandle, WireTatp) {
-    let engine = quick_engine(0xE2E);
+    start_server_on(quick_engine(0xE2E), subscribers, config)
+}
+
+fn start_server_on(
+    engine: Arc<Engine>,
+    subscribers: u64,
+    config: ServerConfig,
+) -> (Arc<Engine>, Tatp, ServerHandle, WireTatp) {
     let tatp = Tatp::install(&engine, subscribers);
     let ids = tatp.table_ids();
     let wire = WireTatp {
@@ -830,4 +841,154 @@ fn reactor_instruments_are_exposed() {
         m.histograms.contains_key("server.write_stall_ns"),
         "write-stall histogram registered"
     );
+}
+
+fn evented() -> ServerConfig {
+    ServerConfig {
+        mode: ServerMode::Evented,
+        ..ServerConfig::default()
+    }
+}
+
+fn mvcc_engine(frames: usize) -> Arc<Engine> {
+    let mut config = quick_config(0xE2E);
+    config.concurrency = Concurrency::Mvcc;
+    config.pool.frames = frames;
+    Engine::new(config)
+}
+
+fn worker_jobs(conn: &mut Conn) -> u64 {
+    conn.metrics()
+        .expect("metrics")
+        .counter("server.worker_jobs_total")
+}
+
+/// Evented + mvcc: frames the engine proves cannot wait run on the
+/// reactor. A read-only transaction on resident pages ships no job; an
+/// UPD_LOCATION shape ships its UPDATE and its COMMIT, which must log.
+#[test]
+fn evented_mvcc_ships_only_frames_that_may_wait() {
+    let (engine, _tatp, handle, wire) = start_server_on(mvcc_engine(1024), 8, evented());
+    let mut conn = Conn::connect(handle.local_addr()).expect("connect");
+    let read_only = |conn: &mut Conn| {
+        assert!(matches!(
+            conn.begin(txn_type::GET_SUBSCRIBER).expect("begin"),
+            BeginOutcome::Started { .. }
+        ));
+        conn.read(wire.subscriber, 3).expect("read");
+        conn.read(wire.access_info, 3 * 4).expect("read");
+        conn.commit().expect("commit");
+    };
+    // The first touch of an index page may read it in, on a worker.
+    read_only(&mut conn);
+
+    let before = worker_jobs(&mut conn);
+    read_only(&mut conn);
+    assert_eq!(worker_jobs(&mut conn) - before, 0, "read-only txn");
+
+    let before = worker_jobs(&mut conn);
+    assert!(matches!(
+        conn.begin(txn_type::UPD_LOCATION).expect("begin"),
+        BeginOutcome::Started { .. }
+    ));
+    let mut row = conn.read(wire.subscriber, 3).expect("read");
+    row[3] = 55;
+    conn.update(wire.subscriber, 3, row).expect("update");
+    conn.commit().expect("commit");
+    assert_eq!(worker_jobs(&mut conn) - before, 2, "UPDATE and COMMIT");
+
+    assert_eq!(engine.locks().outstanding(), (0, 0), "no leaked locks");
+    assert_eq!(engine.active_snapshots(), 0, "no leaked snapshot pins");
+}
+
+/// Evented + s2pl: a READ that waits for a row lock waits on a worker,
+/// so the reactor keeps answering other connections meanwhile.
+#[test]
+fn evented_s2pl_lock_wait_does_not_block_the_reactor() {
+    let (engine, _tatp, handle, wire) = start_server_cfg(8, evented());
+    let addr = handle.local_addr();
+    let mut a = Conn::connect(addr).expect("connect a");
+    assert!(matches!(
+        a.begin(0).expect("begin a"),
+        BeginOutcome::Started { .. }
+    ));
+    let mut row = a.read(wire.subscriber, 3).expect("read");
+    row[3] = 4242;
+    a.update(wire.subscriber, 3, row)
+        .expect("X lock on the row");
+
+    let subscriber = wire.subscriber;
+    let b = std::thread::spawn(move || {
+        let mut b = Conn::connect(addr).expect("connect b");
+        assert!(matches!(
+            b.begin(0).expect("begin b"),
+            BeginOutcome::Started { .. }
+        ));
+        let row = b.read(subscriber, 3).expect("read after A commits");
+        b.commit().expect("commit b");
+        row
+    });
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while engine.locks().outstanding().1 == 0 {
+        assert!(Instant::now() < deadline, "B never queued on the row lock");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    let mut c = Conn::connect(addr).expect("connect c");
+    let asked = Instant::now();
+    c.metrics().expect("metrics while B waits");
+    assert!(
+        asked.elapsed() < Duration::from_secs(1),
+        "METRICS took {:?} while B waited",
+        asked.elapsed()
+    );
+    assert!(!b.is_finished(), "B still waits for A's lock");
+
+    a.commit().expect("commit a");
+    assert_eq!(b.join().expect("client b")[3], 4242, "B reads A's commit");
+    assert_eq!(engine.locks().outstanding(), (0, 0), "no leaked locks");
+}
+
+/// Evented + mvcc with a pool smaller than the table: a snapshot READ of
+/// a page that is not resident may wait for page I/O, so it is shipped
+/// to a worker, and returns the right row.
+#[test]
+fn evented_mvcc_read_of_non_resident_page_goes_to_a_worker() {
+    let (engine, _tatp, handle, wire) = start_server_on(mvcc_engine(16), 1000, evented());
+    let mut conn = Conn::connect(handle.local_addr()).expect("connect");
+    // Read the index in, so that only the data page is missing below.
+    assert!(matches!(
+        conn.begin(txn_type::GET_SUBSCRIBER).expect("begin"),
+        BeginOutcome::Started { .. }
+    ));
+    conn.read(wire.subscriber, 0).expect("read");
+    conn.commit().expect("commit");
+
+    let table = engine.catalog().table(TableId(wire.subscriber));
+    let key = (0..wire.subscribers)
+        .find(|&s| !engine.pool().is_resident(table.data_page(s)))
+        .expect("a 16-frame pool cannot hold every subscriber page");
+    let fanout = engine.config().index_fanout;
+    assert!((1..=table.index_depth(fanout)).all(|level| engine
+        .pool()
+        .is_resident(table.index_page(key, level, fanout))));
+    let expected = table.get(key).expect("installed row");
+
+    let before = worker_jobs(&mut conn);
+    assert!(matches!(
+        conn.begin(txn_type::GET_SUBSCRIBER).expect("begin"),
+        BeginOutcome::Started { .. }
+    ));
+    assert_eq!(conn.read(wire.subscriber, key).expect("read"), expected);
+    conn.commit().expect("commit");
+    assert_eq!(
+        worker_jobs(&mut conn) - before,
+        1,
+        "the READ, not the COMMIT"
+    );
+    assert!(
+        engine.pool().is_resident(table.data_page(key)),
+        "read it in"
+    );
+    assert_eq!(engine.active_snapshots(), 0, "no leaked snapshot pins");
 }
